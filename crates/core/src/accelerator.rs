@@ -214,7 +214,7 @@ impl Edea {
     /// Builds the pre-sliced weight plan of a whole network on this
     /// accelerator's tile geometry — the cache a long-lived session builds
     /// once so repeated requests stop re-slicing weights (see
-    /// [`Edea::run_batch_planned`]).
+    /// [`Edea::run_network_planned`]).
     ///
     /// # Errors
     ///
@@ -901,7 +901,8 @@ impl Edea {
 
     /// [`Edea::run_network_planned`] without the plan-identity check, for
     /// callers that constructed plan and network together (the wrappers,
-    /// [`crate::serve::SimulatorBackend`]).
+    /// [`crate::serve::SimulatorBackend`]): the network walker over a
+    /// batch of one under [`WeightResidency::PerImage`].
     pub(crate) fn run_network_planned_unchecked(
         &self,
         net: &QuantizedDscNetwork,
@@ -909,41 +910,22 @@ impl Edea {
         input: &Tensor3<i8>,
         scratch: &mut TileScratch,
     ) -> Result<NetworkRun, CoreError> {
-        debug_assert_eq!(plan.layers().len(), net.layers().len());
-        let mut layers = Vec::with_capacity(net.layers().len());
-        let mut x: Option<Tensor3<i8>> = None;
-        // The saved int8 block input of an inverted-residual skip, held
-        // between the `residual_save` stage and the `residual_add` stage
-        // that consumes it (same order as the golden executor).
-        let mut saved: Option<Tensor3<i8>> = None;
-        for (layer, lp) in net.layers().iter().zip(plan.layers()) {
-            let s = layer.shape();
-            if s.residual_save {
-                saved = Some(x.as_ref().unwrap_or(input).clone());
-            }
-            let residual = if s.residual_add {
-                Some(saved.take().ok_or_else(|| CoreError::UnsupportedShape {
-                    detail: format!("layer {}: residual add without a preceding save", s.index),
-                })?)
-            } else {
-                None
-            };
-            let cur = x.as_ref().unwrap_or(input);
-            let mut run = self.execute_layer(
-                layer,
-                lp,
-                std::slice::from_ref(cur),
-                residual.as_ref().map(std::slice::from_ref),
-                WeightResidency::PerImage,
-                &mut *scratch,
-            )?;
-            // edea-lint: allow(panic-in-lib): from_ref put exactly one image in
-            x = Some(run.outputs.pop().expect("one image in, one image out"));
-            layers.push(run.stats.into_layer_stats());
-        }
+        let (mut outputs, layers) = self.walk(
+            net,
+            plan,
+            std::slice::from_ref(input),
+            WeightResidency::PerImage,
+            scratch,
+        )?;
         Ok(NetworkRun {
-            output: x.unwrap_or_else(|| input.clone()),
-            stats: NetworkStats { layers },
+            // edea-lint: allow(panic-in-lib): from_ref put exactly one image in
+            output: outputs.pop().expect("one image in, one image out"),
+            stats: NetworkStats {
+                layers: layers
+                    .into_iter()
+                    .map(BatchLayerStats::into_layer_stats)
+                    .collect(),
+            },
         })
     }
 
@@ -971,48 +953,12 @@ impl Edea {
         self.run_batch_planned_unchecked(net, &plan, inputs, &mut scratch)
     }
 
-    /// Runs a whole batch through a pre-built [`NetworkPlan`] — the serving
-    /// hot path: no weight re-slicing, one [`TileScratch`] threaded through
-    /// every layer, and the input batch borrowed rather than deep-copied
-    /// (the first layer reads the images in place; later layers consume
-    /// the previous outputs by move). Bit-identical to [`Edea::run_batch`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedShape`] if `plan` was built for a different
-    /// network; otherwise the first per-layer error.
-    pub fn run_batch_planned(
-        &self,
-        net: &QuantizedDscNetwork,
-        plan: &NetworkPlan,
-        inputs: &Batch<i8>,
-    ) -> Result<BatchRun, CoreError> {
-        let mut scratch = TileScratch::new();
-        self.run_batch_planned_with(net, plan, inputs, &mut scratch)
-    }
-
-    /// [`Edea::run_batch_planned`] with a caller-held [`TileScratch`], so
-    /// a serving session can reuse one scratch across requests (see
-    /// [`crate::serve::SimulatorBackend`]) instead of re-growing the
-    /// buffers per dispatch.
-    ///
-    /// # Errors
-    ///
-    /// As [`Edea::run_batch_planned`].
-    pub fn run_batch_planned_with(
-        &self,
-        net: &QuantizedDscNetwork,
-        plan: &NetworkPlan,
-        inputs: &Batch<i8>,
-        scratch: &mut TileScratch,
-    ) -> Result<BatchRun, CoreError> {
-        plan.check_network(net)?;
-        self.run_batch_planned_unchecked(net, plan, inputs, scratch)
-    }
-
-    /// [`Edea::run_batch_planned_with`] without the plan-identity check,
-    /// for callers that constructed plan and network together (the
-    /// wrappers, [`crate::serve::SimulatorBackend`]).
+    /// The serving hot path: a whole batch through a pre-built
+    /// [`NetworkPlan`] with weight tiles resident across the batch, one
+    /// caller-held [`TileScratch`] reused across dispatches, and no
+    /// plan-identity check — for callers that constructed plan and network
+    /// together (the wrappers, [`crate::serve::SimulatorBackend`]).
+    /// Bit-identical to [`Edea::run_batch`].
     pub(crate) fn run_batch_planned_unchecked(
         &self,
         net: &QuantizedDscNetwork,
@@ -1020,16 +966,47 @@ impl Edea {
         inputs: &Batch<i8>,
         scratch: &mut TileScratch,
     ) -> Result<BatchRun, CoreError> {
+        let (outputs, layers) = self.walk(
+            net,
+            plan,
+            inputs.images(),
+            WeightResidency::PerBatch,
+            scratch,
+        )?;
+        Ok(BatchRun {
+            // edea-lint: allow(panic-in-lib): every output of one layer has the layer's shape
+            outputs: Batch::new(outputs).expect("uniform layer outputs"),
+            stats: BatchNetworkStats {
+                batch: inputs.len(),
+                layers,
+            },
+        })
+    }
+
+    /// The one network walker: threads `images` through every layer of
+    /// `net` under `residency`, with one [`TileScratch`] throughout. The
+    /// images are borrowed, not copied: the first layer reads them in
+    /// place, and each later layer consumes the previous outputs by move.
+    /// Returns the final maps and per-layer whole-batch statistics.
+    fn walk(
+        &self,
+        net: &QuantizedDscNetwork,
+        plan: &NetworkPlan,
+        images: &[Tensor3<i8>],
+        residency: WeightResidency,
+        scratch: &mut TileScratch,
+    ) -> Result<(Vec<Tensor3<i8>>, Vec<BatchLayerStats>), CoreError> {
         debug_assert_eq!(plan.layers().len(), net.layers().len());
         let mut layers = Vec::with_capacity(net.layers().len());
         let mut xs: Option<Vec<Tensor3<i8>>> = None;
-        // Per-image saved block inputs for inverted-residual skips (same
-        // save-then-add order as the golden executor).
+        // Per-image saved block inputs for inverted-residual skips, held
+        // between the `residual_save` stage and the `residual_add` stage
+        // that consumes them (same order as the golden executor).
         let mut saved: Option<Vec<Tensor3<i8>>> = None;
         for (layer, lp) in net.layers().iter().zip(plan.layers()) {
             let s = layer.shape();
             if s.residual_save {
-                saved = Some(xs.as_deref().unwrap_or(inputs.images()).to_vec());
+                saved = Some(xs.as_deref().unwrap_or(images).to_vec());
             }
             let residual = if s.residual_add {
                 Some(saved.take().ok_or_else(|| CoreError::UnsupportedShape {
@@ -1038,27 +1015,19 @@ impl Edea {
             } else {
                 None
             };
-            let cur: &[Tensor3<i8>] = xs.as_deref().unwrap_or(inputs.images());
+            let cur: &[Tensor3<i8>] = xs.as_deref().unwrap_or(images);
             let run = self.execute_layer(
                 layer,
                 lp,
                 cur,
                 residual.as_deref(),
-                WeightResidency::PerBatch,
+                residency,
                 &mut *scratch,
             )?;
             xs = Some(run.outputs);
             layers.push(run.stats);
         }
-        Ok(BatchRun {
-            outputs: Batch::new(xs.unwrap_or_else(|| inputs.images().to_vec()))
-                // edea-lint: allow(panic-in-lib): every output of one layer has the layer's shape
-                .expect("uniform layer outputs"),
-            stats: BatchNetworkStats {
-                batch: inputs.len(),
-                layers,
-            },
-        })
+        Ok((xs.unwrap_or_else(|| images.to_vec()), layers))
     }
 }
 

@@ -24,6 +24,13 @@
 //! scheduler: one tick is one accelerator cycle, and the run is a pure
 //! function of `(requests, policy, dispatch policy, pool)`.
 //!
+//! **Plan, then execute.** Every backend declares its service cycles up
+//! front ([`Backend::dispatch_cycles_for`]), so a serve run first plans
+//! every batch serially on the simulated clock, then executes the plan on
+//! `min(threads, workers)` host lanes — one inline lane when serial — and
+//! checks each batch's measured cycles against its declared ones. There
+//! is one scheduling path and one assembly path at every thread count.
+//!
 //! **The single-backend scheduler is the N = 1 case.** `Scheduler::serve`
 //! delegates to the same event loop with one worker, and a pool of one
 //! produces a bit-identical [`ServeReport`] under every dispatch policy
@@ -207,10 +214,10 @@ impl<B: Backend> Pool<B> {
     }
 
     /// Sets the host thread count for executing different workers' batches
-    /// concurrently. A host-simulation knob, not a serving parameter: the
-    /// dispatch loop stays serial on the simulated clock at any setting,
-    /// and reports are bit-identical (see [`crate::par`] and the
-    /// dispatch loop's oracle mode).
+    /// concurrently. A host-simulation knob, not a serving parameter:
+    /// every batch is planned serially on the simulated clock, then the
+    /// plan executes on `min(threads, workers)` lanes, so reports are
+    /// bit-identical at every setting (see [`crate::par`]).
     #[must_use]
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
@@ -267,6 +274,10 @@ impl Dispatcher {
     /// * [`CoreError::InvalidRequest`] on a duplicate id or an input whose
     ///   shape does not match the pool's input shape.
     /// * Any error a worker returns for a dispatched batch.
+    /// * [`CoreError::InvalidRequest`] naming a batch's first request if
+    ///   its completion tick would pass `u64::MAX`.
+    /// * [`CoreError::InvalidConfig`] if a worker declares no dispatch cycles
+    ///   for a batch, or a batch's measured cycles differ from them.
     pub fn serve<B: Backend>(
         &self,
         pool: &Pool<B>,
@@ -428,7 +439,9 @@ impl PoolReport {
     }
 }
 
-/// One worker's run state inside the event loop.
+/// One worker's scheduling state inside the planning loop. Counts and
+/// traffic are not kept here: [`WorkerReport`] folds them from the
+/// assembled batch records.
 struct WorkerState {
     queue: VecDeque<Request>,
     free_at: u64,
@@ -440,12 +453,6 @@ struct WorkerState {
     /// resident on the primary model; dispatching any other network pays
     /// that network's switch traffic and flips residency.
     resident: NetworkId,
-    requests: usize,
-    batches: usize,
-    busy_cycles: u64,
-    weight_bytes: u64,
-    external_bytes: u64,
-    switch_bytes: u64,
     max_queue_depth: usize,
     /// `Σ queue-depth × ticks`, advanced whenever simulated time moves.
     depth_integral: u128,
@@ -458,12 +465,6 @@ impl WorkerState {
             free_at: 0,
             in_service: 0,
             resident: NetworkId::PRIMARY,
-            requests: 0,
-            batches: 0,
-            busy_cycles: 0,
-            weight_bytes: 0,
-            external_bytes: 0,
-            switch_bytes: 0,
             max_queue_depth: 0,
             depth_integral: 0,
         }
@@ -537,23 +538,21 @@ fn route(
     }
 }
 
-/// One dispatched-but-not-yet-executed batch in the oracle-mode event
-/// loop: the scheduling decision (who, when, how long) is final; only the
-/// execution — outputs and measured traffic — is deferred to a worker
-/// thread.
+/// One scheduled batch. The planning loop fixes who runs it, when, and
+/// for how long; the execution phase only produces its outputs and
+/// measured traffic.
 struct PlannedBatch {
     worker: usize,
     /// The network every member targets (batches are never mixed).
     network: NetworkId,
     /// `(id, arrival)` of each drained request, in FIFO order.
     timeline: Vec<(u64, u64)>,
-    inputs: Batch<i8>,
     dispatched: u64,
-    /// The backend's pre-declared service cycles
-    /// ([`Backend::dispatch_cycles_for`]); the measured run must match
-    /// exactly, enforced at assembly.
-    predicted: u64,
-    /// Model-switch traffic charged at the (serial) scheduling decision.
+    /// `dispatched` plus the backend's declared service cycles
+    /// ([`Backend::dispatch_cycles_for`]), overflow-checked at planning.
+    /// The measured run must match exactly, enforced at assembly.
+    completed: u64,
+    /// Model-switch traffic charged at the scheduling decision.
     switch_bytes: u64,
 }
 
@@ -580,10 +579,10 @@ struct RouteRecord {
 /// span, the batch span itself, then a completion per member request.
 ///
 /// Everything here is derived from the *assembled* run — `routes` from
-/// the serial scheduling loop, the rest from outputs that are already
-/// bit-identical across thread counts (PR-7 contract) — so the stream is
-/// bit-identical at every thread count by construction. Worker threads
-/// never touch the sink.
+/// the serial planning loop, the rest from the batch records and outputs
+/// the one assembly pass builds in dispatch order at every lane count —
+/// so the stream is bit-identical at every thread count by construction.
+/// Execution lanes never touch the sink.
 fn emit(
     tel: &dyn Telemetry,
     routes: &[RouteRecord],
@@ -605,9 +604,8 @@ fn emit(
             depth: r.depth,
         });
     }
-    // Responses are pushed batch-by-batch in dispatch order in both the
-    // serial and oracle paths, so each batch's members are the next
-    // `size` responses.
+    // The assembly pass pushes responses batch-by-batch in dispatch
+    // order, so each batch's members are the next `size` responses.
     let mut member = 0usize;
     for b in batches {
         let worker = assignments.get(b.index).copied().unwrap_or(0);
@@ -679,34 +677,31 @@ fn emit(
     }
 }
 
-/// The shared discrete-event serve loop: routes arrivals to per-worker
-/// queues and dispatches each worker's batches in global time order,
-/// processing arrivals before dispatches at equal ticks (an arrival at or
-/// before a dispatch tick joins a queue first — it may fill a batch and
-/// move its dispatch earlier, exactly as in the single-backend scheduler).
+/// The shared discrete-event serve loop. `Scheduler::serve` calls it with
+/// one worker, the pool API with N; with one worker every routing policy
+/// is the identity, so the single-backend path *is* the N = 1 case.
 ///
-/// `Scheduler::serve` calls this with one worker; the pool API calls it
-/// with N. With one worker every routing policy is the identity, so the
-/// single-backend path *is* the N = 1 case of this loop.
+/// Every run has the same three phases:
 ///
-/// # Parallel execution (oracle mode)
-///
-/// The scheduling decisions depend on *when* batches complete, so the
-/// event loop itself must stay serial on the simulated clock. When `par`
-/// allows more than one thread, the pool has more than one worker, and
-/// every worker pre-declares its service cycles
-/// ([`Backend::dispatch_cycles`]), the loop runs in **oracle mode**: it
-/// makes every scheduling decision serially from the predicted cycles,
-/// recording [`PlannedBatch`]es instead of executing them, then executes
-/// all batches on a scoped fork-join — partitioned **by worker** (a
-/// worker's batches stay on one lane, in dispatch order, preserving each
-/// backend's sequential self-consistency) — and assembles responses,
-/// batch records and per-worker traffic in global dispatch order. A
-/// measured run that contradicts its prediction fails the whole run
-/// (`InvalidConfig`): silently diverging clocks would un-pin the
-/// simulated schedule from the executed one. Any backend without a
-/// prediction (the default) keeps today's serial execute-at-dispatch
-/// behaviour.
+/// 1. **Plan.** A serial loop on the simulated clock routes arrivals to
+///    per-worker queues and dispatches each worker's batches in global
+///    time order, processing arrivals before dispatches at equal ticks (an
+///    arrival at or before a dispatch tick joins a queue first — it may
+///    fill a batch and move its dispatch earlier). Each batch's service
+///    time is the backend's declaration
+///    ([`Backend::dispatch_cycles_for`]), so no batch executes here.
+///    Scheduling errors — a backend with no prediction, a completion tick
+///    past `u64::MAX` — surface before any batch executes.
+/// 2. **Execute.** The planned batches run on `min(threads, workers)`
+///    lanes, partitioned **by worker** (a worker's batches stay on one
+///    lane, in dispatch order, preserving each backend's sequential
+///    self-consistency). A serial run is one inline lane.
+/// 3. **Assemble.** Responses, batch records and per-worker accounting are
+///    built in global dispatch order. A batch whose measured cycles differ
+///    from its declared cycles fails the run (`InvalidConfig`): silently
+///    diverging clocks would un-pin the simulated schedule from the
+///    executed one. The first error in dispatch order wins, at every
+///    thread count.
 pub(crate) fn drive<W: Backend + ?Sized>(
     workers: &[&W],
     policy: Policy,
@@ -716,32 +711,14 @@ pub(crate) fn drive<W: Backend + ?Sized>(
     tel: &dyn Telemetry,
 ) -> Result<PoolReport, CoreError> {
     policy.validate()?;
-    // Telemetry is derived, never recorded from worker threads: routing
-    // decisions are side-recorded in the serial loop below, per-batch
-    // layer traces are captured off each run, and one post-pass replays
+    // Telemetry is derived, never recorded from execution lanes: routing
+    // decisions are side-recorded in the planning loop below, per-batch
+    // layer traces are captured at assembly, and one post-pass replays
     // the assembled outcome into the sink (see `emit`). With a disabled
     // sink none of these vectors ever allocates.
     let observe = tel.enabled();
     let mut routes: Vec<RouteRecord> = Vec::new();
-    let mut batch_layers: Vec<Vec<LayerTrace>> = Vec::new();
     assert!(!workers.is_empty(), "pool is non-empty by construction");
-    // The distinct networks this stream targets (usually just PRIMARY).
-    let networks: Vec<NetworkId> = {
-        let mut v: Vec<NetworkId> = requests.iter().map(|r| r.network).collect();
-        v.sort_unstable_by_key(|n| n.0);
-        v.dedup();
-        v
-    };
-    // Oracle mode is all-or-nothing, decided up front: a mixed pool (some
-    // workers predicting, some not — for any network the stream targets)
-    // runs serially like any other.
-    let oracle = !par.is_serial()
-        && workers.len() > 1
-        && workers.iter().all(|w| {
-            networks
-                .iter()
-                .all(|&n| w.dispatch_cycles_for(n, 1).is_some())
-        });
     for r in &requests {
         let Some(want) = workers[0].input_shape_for(r.network) else {
             return Err(CoreError::InvalidRequest {
@@ -781,10 +758,10 @@ pub(crate) fn drive<W: Backend + ?Sized>(
         v.into()
     };
     let mut states: Vec<WorkerState> = (0..workers.len()).map(|_| WorkerState::new()).collect();
-    let mut responses = Vec::with_capacity(n_requests);
-    let mut batches: Vec<BatchRecord> = Vec::new();
-    let mut assignments: Vec<usize> = Vec::new();
     let mut planned: Vec<PlannedBatch> = Vec::new();
+    // Each planned batch's inputs, parallel to `planned`, handed to the
+    // execution lanes by value.
+    let mut planned_inputs: Vec<Batch<i8>> = Vec::new();
     let mut rr_cursor = 0usize;
     let mut now = 0u64;
 
@@ -800,6 +777,7 @@ pub(crate) fn drive<W: Backend + ?Sized>(
         }
     };
 
+    // Phase 1: plan every batch on the simulated clock.
     loop {
         // The earliest worker dispatch on the table (ties → lowest index).
         let next_dispatch: Option<(u64, usize)> = states
@@ -832,7 +810,6 @@ pub(crate) fn drive<W: Backend + ?Sized>(
                 });
             }
             s.queue.push_back(r);
-            s.requests += 1;
             s.max_queue_depth = s.max_queue_depth.max(s.queue.len());
             continue;
         }
@@ -853,200 +830,110 @@ pub(crate) fn drive<W: Backend + ?Sized>(
             timeline.push((r.id, r.arrival));
             inputs.push(r.input);
         }
-        let oldest_arrival = timeline[0].1;
-        // edea-lint: allow(panic-in-lib): every request shape was checked against the
-        // backend at intake (InvalidRequest), so the drained batch is uniform
-        let inputs = Batch::new(inputs).expect("request shapes validated above");
-        let index = assignments.len();
-        // Model-switch accounting happens here, on the serial scheduling
-        // decision, so oracle and serial runs agree exactly: a dispatch
-        // whose network differs from the worker's resident one pays the
-        // incoming network's refetch and flips residency.
-        let switch = if state.resident == network {
+        let cycles = workers[wi]
+            .dispatch_cycles_for(network, size)
+            .ok_or_else(|| CoreError::InvalidConfig {
+                detail: format!(
+                    "backend {} declares no dispatch cycles for a batch of {size} \
+                     on {network}; every backend must predict its service time",
+                    workers[wi].name()
+                ),
+            })?;
+        let completed = now
+            .checked_add(cycles)
+            .ok_or_else(|| CoreError::InvalidRequest {
+                detail: format!(
+                    "request {}: batch dispatched at tick {now} with {cycles} \
+                     cycles completes past the end of the simulated clock",
+                    timeline[0].0
+                ),
+            })?;
+        // A dispatch whose network differs from the worker's resident one
+        // pays the incoming network's refetch and flips residency.
+        let switch_bytes = if state.resident == network {
             0
         } else {
             workers[wi].switch_bytes(network)
         };
         state.resident = network;
-        state.switch_bytes += switch;
-        let cycles = if oracle {
-            // Oracle mode: every scheduling consequence of this dispatch
-            // (busy-until, responses' completion, the next batch boundary)
-            // follows from the pre-declared cycles; execution is deferred.
-            let predicted = workers[wi]
-                .dispatch_cycles_for(network, size)
-                .ok_or_else(|| CoreError::InvalidConfig {
-                    detail: format!(
-                        "backend {} declared dispatch cycles for a batch of 1 \
-                         but not for a batch of {size}; dispatch_cycles must \
-                         be all-or-nothing",
-                        workers[wi].name()
-                    ),
-                })?;
-            planned.push(PlannedBatch {
-                worker: wi,
-                network,
-                timeline,
-                inputs,
-                dispatched: now,
-                predicted,
-                switch_bytes: switch,
-            });
-            predicted
-        } else {
-            let mut run = workers[wi].run_for(network, &inputs)?;
-            if run.outputs.len() != size {
-                return Err(CoreError::UnsupportedShape {
-                    detail: format!(
-                        "backend {} returned {} outputs for a batch of {size}",
-                        workers[wi].name(),
-                        run.outputs.len()
-                    ),
-                });
-            }
-            if observe {
-                batch_layers.push(std::mem::take(&mut run.layers));
-            }
-            let completed = now + run.cycles;
-            for ((id, arrival), output) in timeline.into_iter().zip(run.outputs.into_images()) {
-                responses.push(Response {
-                    id,
-                    arrival,
-                    dispatched: now,
-                    completed,
-                    batch: index,
-                    network,
-                    output,
-                });
-            }
-            batches.push(BatchRecord {
-                index,
-                size,
-                oldest_arrival,
-                dispatched: now,
-                completed,
-                cycles: run.cycles,
-                network,
-                weight_bytes: run.weight_bytes,
-                external_bytes: run.external_bytes,
-                switch_bytes: switch,
-            });
-            state.weight_bytes += run.weight_bytes;
-            state.external_bytes += run.external_bytes;
-            run.cycles
-        };
-        assignments.push(wi);
-        state.free_at = now + cycles;
+        state.free_at = completed;
         state.in_service = size;
-        state.batches += 1;
-        state.busy_cycles += cycles;
+        planned.push(PlannedBatch {
+            worker: wi,
+            network,
+            timeline,
+            dispatched: now,
+            completed,
+            switch_bytes,
+        });
+        // edea-lint: allow(panic-in-lib): every request shape was checked against the
+        // backend at intake (InvalidRequest), so the drained batch is uniform
+        planned_inputs.push(Batch::new(inputs).expect("request shapes validated above"));
     }
 
-    // Oracle mode, phase 2: execute every planned batch on a scoped
-    // fork-join, partitioned by worker (a worker's batches stay on one
-    // lane, in dispatch order), then assemble in global dispatch order.
-    if !planned.is_empty() {
-        let lanes_n = par.threads().min(workers.len());
-        let worker_ranges = par::chunk_ranges(workers.len(), lanes_n);
-        let mut worker_lane = vec![0usize; workers.len()];
-        for (lane, range) in worker_ranges.iter().enumerate() {
-            for w in range.clone() {
-                worker_lane[w] = lane;
-            }
-        }
-        // Per-lane job lists are ascending in global batch index.
-        let mut lane_jobs: Vec<Vec<usize>> = vec![Vec::new(); lanes_n];
-        for (j, p) in planned.iter().enumerate() {
-            lane_jobs[worker_lane[p.worker]].push(j);
-        }
-        let planned_ref = &planned;
-        let lane_results = par::map_lanes(lane_jobs, |_, jobs| {
-            let mut out: Vec<(usize, Result<BackendRun, CoreError>)> =
-                Vec::with_capacity(jobs.len());
-            for j in jobs {
-                let p = &planned_ref[j];
-                let result = workers[p.worker].run_for(p.network, &p.inputs);
-                let failed = result.is_err();
-                out.push((j, result));
-                if failed {
-                    // Stop at this lane's first error: jobs are in
-                    // dispatch order per lane, so the globally first
-                    // error is always executed and found at assembly.
-                    break;
-                }
-            }
-            out
-        });
-        let mut runs: Vec<Option<Result<BackendRun, CoreError>>> =
-            (0..planned.len()).map(|_| None).collect();
-        for lane in lane_results {
-            for (j, r) in lane {
-                runs[j] = Some(r);
-            }
-        }
-        // Ascending assembly reproduces the serial loop's responses,
-        // batch records, per-worker traffic and error precedence exactly
-        // (the schedule prefix up to any first error is identical, since
-        // predictions equal measured cycles for every successful run).
-        for (j, p) in planned.into_iter().enumerate() {
-            let mut run = runs[j]
-                .take()
-                // edea-lint: allow(panic-in-lib): lanes cover 0..planned.len(), and the
-                // fixed-order reduction stops this loop at the first missing run
-                .expect("every batch up to the first error was executed")?;
-            let size = p.timeline.len();
-            if run.outputs.len() != size {
-                return Err(CoreError::UnsupportedShape {
-                    detail: format!(
-                        "backend {} returned {} outputs for a batch of {size}",
-                        workers[p.worker].name(),
-                        run.outputs.len()
-                    ),
-                });
-            }
-            if run.cycles != p.predicted {
-                return Err(CoreError::InvalidConfig {
-                    detail: format!(
-                        "backend {} reported {} cycles for a batch of {size} but \
-                         declared {} at dispatch; dispatch_cycles must equal the \
-                         measured run exactly",
-                        workers[p.worker].name(),
-                        run.cycles,
-                        p.predicted
-                    ),
-                });
-            }
-            if observe {
-                batch_layers.push(std::mem::take(&mut run.layers));
-            }
-            let completed = p.dispatched + run.cycles;
-            let oldest_arrival = p.timeline[0].1;
-            states[p.worker].weight_bytes += run.weight_bytes;
-            states[p.worker].external_bytes += run.external_bytes;
-            for ((id, arrival), output) in p.timeline.into_iter().zip(run.outputs.into_images()) {
-                responses.push(Response {
-                    id,
-                    arrival,
-                    dispatched: p.dispatched,
-                    completed,
-                    batch: j,
-                    network: p.network,
-                    output,
-                });
-            }
-            batches.push(BatchRecord {
-                index: j,
-                size,
-                oldest_arrival,
-                dispatched: p.dispatched,
-                completed,
-                cycles: run.cycles,
-                network: p.network,
-                weight_bytes: run.weight_bytes,
-                external_bytes: run.external_bytes,
-                switch_bytes: p.switch_bytes,
+    // Phase 2: execute.
+    let mut runs = execute(workers, &planned, planned_inputs, par);
+
+    // Phase 3: assemble in global dispatch order.
+    let mut responses = Vec::with_capacity(n_requests);
+    let mut batches: Vec<BatchRecord> = Vec::with_capacity(planned.len());
+    let mut assignments: Vec<usize> = Vec::with_capacity(planned.len());
+    let mut batch_layers: Vec<Vec<LayerTrace>> = Vec::new();
+    for (index, p) in planned.into_iter().enumerate() {
+        let mut run = runs[index]
+            .take()
+            // edea-lint: allow(panic-in-lib): a lane skips batches only after its own
+            // earlier error, which this ascending loop returns first
+            .expect("every batch up to the first error was executed")?;
+        let size = p.timeline.len();
+        let name = workers[p.worker].name();
+        if run.outputs.len() != size {
+            return Err(CoreError::UnsupportedShape {
+                detail: format!(
+                    "backend {name} returned {} outputs for a batch of {size}",
+                    run.outputs.len()
+                ),
             });
         }
+        let predicted = p.completed - p.dispatched;
+        if run.cycles != predicted {
+            return Err(CoreError::InvalidConfig {
+                detail: format!(
+                    "backend {name} reported {} cycles for a batch of {size} but \
+                     declared {predicted} at dispatch; dispatch_cycles must equal the \
+                     measured run exactly",
+                    run.cycles
+                ),
+            });
+        }
+        if observe {
+            batch_layers.push(std::mem::take(&mut run.layers));
+        }
+        let oldest_arrival = p.timeline[0].1;
+        for ((id, arrival), output) in p.timeline.into_iter().zip(run.outputs.into_images()) {
+            responses.push(Response {
+                id,
+                arrival,
+                dispatched: p.dispatched,
+                completed: p.completed,
+                batch: index,
+                network: p.network,
+                output,
+            });
+        }
+        batches.push(BatchRecord {
+            index,
+            size,
+            oldest_arrival,
+            dispatched: p.dispatched,
+            completed: p.completed,
+            cycles: run.cycles,
+            network: p.network,
+            weight_bytes: run.weight_bytes,
+            external_bytes: run.external_bytes,
+            switch_bytes: p.switch_bytes,
+        });
+        assignments.push(p.worker);
     }
 
     if observe {
@@ -1061,17 +948,17 @@ pub(crate) fn drive<W: Backend + ?Sized>(
     }
 
     let makespan = batches.last().map_or(0, |b| b.completed);
-    let workers_report = states
+    let mut workers_report: Vec<WorkerReport> = states
         .into_iter()
         .enumerate()
         .map(|(index, s)| WorkerReport {
             index,
-            requests: s.requests,
-            batches: s.batches,
-            busy_cycles: s.busy_cycles,
-            weight_bytes: s.weight_bytes,
-            external_bytes: s.external_bytes,
-            switch_bytes: s.switch_bytes,
+            requests: 0,
+            batches: 0,
+            busy_cycles: 0,
+            weight_bytes: 0,
+            external_bytes: 0,
+            switch_bytes: 0,
             max_queue_depth: s.max_queue_depth,
             mean_queue_depth: if makespan == 0 {
                 0.0
@@ -1080,6 +967,15 @@ pub(crate) fn drive<W: Backend + ?Sized>(
             },
         })
         .collect();
+    for (b, &w) in batches.iter().zip(&assignments) {
+        let r = &mut workers_report[w];
+        r.requests += b.size;
+        r.batches += 1;
+        r.busy_cycles += b.cycles;
+        r.weight_bytes += b.weight_bytes;
+        r.external_bytes += b.external_bytes;
+        r.switch_bytes += b.switch_bytes;
+    }
 
     Ok(PoolReport {
         serve: ServeReport {
@@ -1092,6 +988,55 @@ pub(crate) fn drive<W: Backend + ?Sized>(
         workers: workers_report,
         assignments,
     })
+}
+
+/// Runs every planned batch on `min(threads, workers)` lanes, partitioned
+/// by worker, and returns one slot per batch in dispatch order. Each lane
+/// owns its batches' inputs and drops them right after the run, so a
+/// serial serve holds each input only until its own batch has run. A
+/// lane stops at its first error: its jobs are in dispatch order, so every
+/// batch before the globally first error has run and that error is found
+/// by the ascending assembly.
+fn execute<W: Backend + ?Sized>(
+    workers: &[&W],
+    planned: &[PlannedBatch],
+    inputs: Vec<Batch<i8>>,
+    par: Parallelism,
+) -> Vec<Option<Result<BackendRun, CoreError>>> {
+    let lanes_n = par.threads().min(workers.len());
+    let mut worker_lane = vec![0usize; workers.len()];
+    for (lane, range) in par::chunk_ranges(workers.len(), lanes_n)
+        .into_iter()
+        .enumerate()
+    {
+        for w in range {
+            worker_lane[w] = lane;
+        }
+    }
+    let mut lane_jobs: Vec<Vec<(usize, Batch<i8>)>> = (0..lanes_n).map(|_| Vec::new()).collect();
+    for (j, batch) in inputs.into_iter().enumerate() {
+        lane_jobs[worker_lane[planned[j].worker]].push((j, batch));
+    }
+    let lane_results = par::map_lanes(lane_jobs, |_, jobs| {
+        let mut out = Vec::with_capacity(jobs.len());
+        for (j, batch) in jobs {
+            let p = &planned[j];
+            let result = workers[p.worker].run_for(p.network, &batch);
+            drop(batch);
+            let failed = result.is_err();
+            out.push((j, result));
+            if failed {
+                break;
+            }
+        }
+        out
+    });
+    let mut runs: Vec<Option<Result<BackendRun, CoreError>>> =
+        (0..planned.len()).map(|_| None).collect();
+    for (j, r) in lane_results.into_iter().flatten() {
+        runs[j] = Some(r);
+    }
+    runs
 }
 
 #[cfg(test)]
@@ -1472,9 +1417,9 @@ mod tests {
 
     #[test]
     fn mixed_serving_is_bit_identical_across_thread_counts() {
-        // The oracle-mode event loop must reproduce the serial mixed-model
-        // schedule exactly: same batches, same networks, same switch
-        // traffic, same outputs.
+        // Executing the plan on four lanes must reproduce the one-lane
+        // mixed-model run exactly: same batches, same networks, same
+        // switch traffic, same outputs.
         let serve = |threads: usize| -> PoolReport {
             let b = mixed_backend(threads);
             let reqs = mixed_requests(&b, &[0, 1, 0, 1, 1, 0, 0, 1], &arrivals::uniform(8, 1_000));

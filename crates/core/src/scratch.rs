@@ -13,9 +13,10 @@
 //! steady-state tile loop performs **zero heap allocations** (guarded by
 //! the allocation-regression test in `crates/core/tests`).
 //!
-//! A scratch outlives a layer run: `Edea::run_network_planned` and
-//! `run_batch_planned` thread one scratch through every layer, and its
-//! capacity grows monotonically to the largest layer it has seen.
+//! A scratch outlives a layer run: the accelerator's network walker
+//! (behind `Edea::run_network_planned`, `Edea::run_batch` and the serving
+//! backend) threads one scratch through every layer, and its capacity
+//! grows monotonically to the largest layer it has seen.
 
 use edea_nn::workload::LayerShape;
 use edea_tensor::Tensor3;

@@ -261,21 +261,18 @@ pub trait Backend: Sync {
     /// execution path.
     fn run(&self, inputs: &Batch<i8>) -> Result<BackendRun, CoreError>;
 
-    /// The service cycles a dispatch of `batch` images *will* report, if
-    /// this backend can predict them without executing — the hook that
-    /// lets a parallel pool keep its dispatch loop serial on the simulated
-    /// clock while deferring the actual execution to worker threads.
+    /// The service cycles a dispatch of `batch` images *will* report,
+    /// declared without executing. Every serve run plans its whole
+    /// schedule on the simulated clock from these declarations, then
+    /// executes the plan (serially or across worker lanes).
     ///
-    /// The contract is all-or-nothing: return `Some` only if **every**
-    /// [`Backend::run`] on a batch of `batch` images reports exactly these
-    /// cycles (the pool enforces the equality and fails the run on a
-    /// mismatch). The default `None` opts out; the pool then executes
-    /// batches inline at dispatch time, serially. All provided backends
-    /// are paced by the equality-tested [`CostModel`] and return `Some`.
-    fn dispatch_cycles(&self, batch: usize) -> Option<u64> {
-        let _ = batch;
-        None
-    }
+    /// The contract: every [`Backend::run`] on a batch of `batch` images
+    /// reports exactly these cycles. The pool checks the equality for
+    /// every batch and fails the run with [`CoreError::InvalidConfig`] on
+    /// a mismatch; `None` is also an `InvalidConfig`, reported before any
+    /// batch executes. All provided backends are paced by the
+    /// equality-tested [`CostModel`].
+    fn dispatch_cycles(&self, batch: usize) -> Option<u64>;
 
     /// The input shape requests for `network` must have, or `None` if this
     /// backend does not serve that network. The default serves exactly
@@ -302,8 +299,8 @@ pub trait Backend: Sync {
         self.run(inputs)
     }
 
-    /// [`Backend::dispatch_cycles`], per network. Same all-or-nothing
-    /// contract, checked per network actually present in the stream.
+    /// [`Backend::dispatch_cycles`], per network. Same contract; the
+    /// default declares [`NetworkId::PRIMARY`] only.
     fn dispatch_cycles_for(&self, network: NetworkId, batch: usize) -> Option<u64> {
         if network == NetworkId::PRIMARY {
             self.dispatch_cycles(batch)
@@ -1190,6 +1187,10 @@ impl Scheduler {
     /// * [`CoreError::InvalidRequest`] on a duplicate id or an input whose
     ///   shape does not match [`Backend::input_shape`].
     /// * Any error the backend returns for a dispatched batch.
+    /// * [`CoreError::InvalidRequest`] naming a batch's first request if
+    ///   its completion tick would pass `u64::MAX`.
+    /// * [`CoreError::InvalidConfig`] if the backend declares no dispatch cycles
+    ///   for a batch, or a batch's measured cycles differ from them.
     pub fn serve<B: Backend + ?Sized>(
         &self,
         backend: &B,
@@ -1213,9 +1214,8 @@ impl Scheduler {
         requests: Vec<Request>,
         telemetry: &dyn crate::telemetry::Telemetry,
     ) -> Result<ServeReport, CoreError> {
-        // A single backend has no cross-worker independence to exploit —
-        // the one-worker event loop stays serial regardless of any
-        // parallelism knob (batches on one worker are sequentially
+        // One worker executes its plan on one inline lane regardless of
+        // any parallelism knob (batches on one worker are sequentially
         // dependent through its busy-until clock).
         let report = crate::pool::drive(
             &[backend],
@@ -1674,32 +1674,123 @@ mod tests {
     #[test]
     fn backend_returning_wrong_output_count_is_an_error() {
         // The Backend trait is public; a broken implementation must
-        // surface as an error, not as silently dropped responses.
-        struct ShortBackend(AnalyticBackend);
-        impl Backend for ShortBackend {
+        // surface as a typed error — never as silently dropped responses
+        // or a schedule that diverges from execution — through the
+        // single-backend scheduler and through a 2-worker pool at 1 and
+        // 2 threads alike.
+        use crate::par::Parallelism;
+        use crate::pool::{DispatchPolicy, Dispatcher, Pool};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        #[derive(Debug, Clone, Copy)]
+        enum Fault {
+            ShortOutputs,
+            WrongCycles,
+            NoPrediction,
+        }
+        struct Broken {
+            inner: AnalyticBackend,
+            fault: Fault,
+            runs: AtomicUsize,
+        }
+        impl Backend for Broken {
             fn name(&self) -> &'static str {
-                "short"
+                "broken"
             }
             fn config(&self) -> &EdeaConfig {
-                self.0.config()
+                self.inner.config()
             }
             fn input_shape(&self) -> (usize, usize, usize) {
-                self.0.input_shape()
+                self.inner.input_shape()
             }
             fn run(&self, inputs: &Batch<i8>) -> Result<BackendRun, CoreError> {
-                let mut run = self.0.run(inputs)?;
-                let mut images = run.outputs.into_images();
-                images.pop();
-                run.outputs = Batch::new(images).expect("still non-empty");
+                self.runs.fetch_add(1, Ordering::Relaxed);
+                let mut run = self.inner.run(inputs)?;
+                match self.fault {
+                    Fault::ShortOutputs => {
+                        let mut images = run.outputs.into_images();
+                        images.pop();
+                        run.outputs = Batch::new(images).expect("still non-empty");
+                    }
+                    Fault::WrongCycles => run.cycles += 1,
+                    Fault::NoPrediction => {}
+                }
                 Ok(run)
             }
+            fn dispatch_cycles(&self, batch: usize) -> Option<u64> {
+                match self.fault {
+                    Fault::NoPrediction => None,
+                    _ => self.inner.dispatch_cycles(batch),
+                }
+            }
         }
-        let b = ShortBackend(analytic());
-        let reqs = zero_requests(&b.0, &[0, 0]);
-        let err = Scheduler::new(Policy::new(2, 0).unwrap())
-            .serve(&b, reqs)
+        let broken = |fault| Broken {
+            inner: analytic(),
+            fault,
+            runs: AtomicUsize::new(0),
+        };
+        // Four requests at t = 0 under max_batch 2: two batches of two on
+        // one backend, one batch of two per worker under round-robin.
+        let policy = Policy::new(2, 0).unwrap();
+        let reqs = || zero_requests(&analytic(), &[0, 0, 0, 0]);
+        for fault in [Fault::ShortOutputs, Fault::WrongCycles, Fault::NoPrediction] {
+            let expected = |err: &CoreError| match fault {
+                Fault::ShortOutputs => matches!(err, CoreError::UnsupportedShape { .. }),
+                Fault::WrongCycles | Fault::NoPrediction => {
+                    matches!(err, CoreError::InvalidConfig { .. })
+                }
+            };
+            let b = broken(fault);
+            let err = Scheduler::new(policy).serve(&b, reqs()).unwrap_err();
+            assert!(expected(&err), "{fault:?} via Scheduler: {err:?}");
+            let mut runs = vec![b.runs.load(Ordering::Relaxed)];
+            for threads in [1, 2] {
+                let pool = Pool::new(vec![broken(fault), broken(fault)])
+                    .unwrap()
+                    .with_parallelism(Parallelism::new(threads).unwrap());
+                let err = Dispatcher::new(policy, DispatchPolicy::RoundRobin)
+                    .serve(&pool, reqs())
+                    .unwrap_err();
+                assert!(expected(&err), "{fault:?} via pool at {threads}: {err:?}");
+                runs.push(
+                    pool.workers()
+                        .iter()
+                        .map(|w| w.runs.load(Ordering::Relaxed))
+                        .sum(),
+                );
+            }
+            if let Fault::NoPrediction = fault {
+                // A missing prediction is a scheduling error: it is
+                // reported before any batch executes.
+                assert_eq!(runs, vec![0, 0, 0], "{fault:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn completion_tick_overflow_is_a_typed_error() {
+        // A batch dispatched near the end of the simulated clock cannot
+        // complete: the run fails naming the batch's first request rather
+        // than panicking or wrapping the tick around.
+        use crate::pool::{DispatchPolicy, Dispatcher, Pool};
+
+        let b = analytic();
+        let (d, h, w) = b.input_shape();
+        let reqs = || vec![Request::new(5, u64::MAX - 1, Tensor3::<i8>::zeros(d, h, w))];
+        let policy = Policy::new(1, 0).unwrap();
+        let single = Scheduler::new(policy).serve(&b, reqs()).unwrap_err();
+        let pool = Pool::replicate(b, 2).unwrap();
+        let pooled = Dispatcher::new(policy, DispatchPolicy::LeastLoaded)
+            .serve(&pool, reqs())
             .unwrap_err();
-        assert!(matches!(err, CoreError::UnsupportedShape { .. }), "{err:?}");
+        for err in [single, pooled] {
+            match err {
+                CoreError::InvalidRequest { detail } => {
+                    assert!(detail.contains("request 5"), "{detail}");
+                }
+                other => panic!("expected InvalidRequest, got {other:?}"),
+            }
+        }
     }
 
     #[test]
